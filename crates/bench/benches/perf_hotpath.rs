@@ -1,6 +1,9 @@
-//! Microbenches pinning the three hot paths the performance work targets:
-//! the precomputed frequency kernel (cached query vs forced rebuild),
-//! parallel population fabrication, and one aging-timeline checkpoint.
+//! Microbenches pinning the hot paths the performance work targets: the
+//! precomputed frequency kernel (cached query vs forced rebuild),
+//! parallel population fabrication, one aging-timeline checkpoint, and
+//! the verify read path — a sealed, replicated store read of a
+//! conventional-cell-sized record and the bit kernels its seal and key
+//! derivation run on.
 //!
 //! Compare against `BENCH_baseline.json` at the workspace root with
 //! `scripts/bench_check.sh`; the end-to-end numbers live in
@@ -9,10 +12,19 @@
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
 use aro_device::units::YEAR;
+use aro_ecc::{FuzzyExtractor, RepetitionCode};
+use aro_metrics::bits::BitString;
 use aro_puf::{Chip, MissionProfile, Population, PufDesign};
+use aro_serve::store::{ShardedStore, StoredRecord};
 use aro_sim::runner::measure_flip_timeline;
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
+
+/// The conventional cell's helper offset length: with the 128-bit salt it
+/// makes the 28,943 stored bits the serve fleet seals per RO device.
+const RO_OFFSET_BITS: usize = 28_815;
 
 fn bench(c: &mut Criterion) {
     let design = PufDesign::standard(RoStyle::AgingResistant, 7);
@@ -57,9 +69,40 @@ fn bench(c: &mut Criterion) {
     });
 }
 
+fn bench_verify_path(c: &mut Criterion) {
+    let bits = BitString::from_fn(RO_OFFSET_BITS, |i| (i * 7 + i / 5) % 3 == 0);
+    let fe = FuzzyExtractor::new(RepetitionCode::new(RO_OFFSET_BITS), 1);
+    let (key, helper) = fe.generate(&bits, &mut StdRng::seed_from_u64(7));
+    assert_eq!(helper.stored_bits(), 28_943);
+    let pairs = (0..64).map(|i| (2 * i, 2 * i + 1)).collect();
+    let reference = BitString::from_fn(64, |i| i % 5 < 2);
+    let record = StoredRecord::new(0, pairs, reference, helper, key.truncated(128));
+    let mut store = ShardedStore::for_fleet_replicated(1, 2, 2);
+    store.insert(record);
+
+    c.bench_function("store_read_with_replicas", |b| {
+        // Both replicas intact: every read re-checks both seals.
+        b.iter(|| black_box(store.read_with_replicas(black_box(0))))
+    });
+
+    c.bench_function("bitstring_to_bytes", |b| {
+        b.iter(|| black_box(black_box(&bits).to_bytes()))
+    });
+
+    c.bench_function("bitstring_slice", |b| {
+        // An odd start offset: every output word is a two-word shift-merge.
+        b.iter(|| black_box(black_box(&bits).slice(37, RO_OFFSET_BITS - 100)))
+    });
+
+    c.bench_function("bitstring_concat", |b| {
+        let (left, right) = (bits.slice(0, 14_407), bits.slice(14_407, 14_408));
+        b.iter(|| black_box(black_box(&left).concat(black_box(&right))))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench
+    targets = bench, bench_verify_path
 }
 criterion_main!(benches);

@@ -18,7 +18,7 @@ use aro_metrics::bits::BitString;
 use rand::Rng;
 
 use crate::code::Code;
-use crate::hash::sha256;
+use crate::hash::{fnv1a, sha256, FNV1A_OFFSET};
 
 /// Public helper data produced at enrollment (stores no secret by itself).
 #[derive(Debug, Clone, PartialEq)]
@@ -89,22 +89,15 @@ impl HelperData {
     /// must seal it with its own integrity check. This digest is that
     /// seal: `aro-serve` records it at enrollment and compares on read,
     /// routing mismatches to recovery instead of handing out a wrong key.
+    /// Offsets stream through [`BitString::bytes`], so the check that
+    /// runs on every read allocates nothing.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        for offset in &self.offsets {
-            eat(&(offset.len() as u64).to_le_bytes());
-            eat(&offset.to_bytes());
-        }
-        eat(&self.salt);
-        hash
+        let hash = self.offsets.iter().fold(FNV1A_OFFSET, |hash, offset| {
+            let hash = fnv1a(hash, (offset.len() as u64).to_le_bytes());
+            fnv1a(hash, offset.bytes())
+        });
+        fnv1a(hash, self.salt)
     }
 
     /// Re-derives the key from a recovered enrollment response — the
@@ -214,7 +207,7 @@ impl<C: Code> FuzzyExtractor<C> {
             let block = w_noisy.slice(b * self.code.n(), self.code.n());
             let shifted = block.xor(offset);
             let codeword = self.code.decode(&shifted)?;
-            w = w.concat(&codeword.xor(offset));
+            w.extend_from_bits(&codeword.xor(offset));
         }
         Some(self.derive_key(&w, &helper.salt))
     }

@@ -1,9 +1,13 @@
-//! SHA-256 (FIPS 180-4), implemented from scratch.
+//! SHA-256 (FIPS 180-4), implemented from scratch, and the FNV-1a seal
+//! digest.
 //!
 //! The fuzzy extractor derives the final key as `SHA-256(w ‖ salt)`; no
 //! cryptography crate is in the offline dependency allowlist, and the
 //! algorithm is 80 lines, so it lives here. Verified against the FIPS
 //! test vectors below.
+//!
+//! [`fnv1a`] is not cryptographic: it is the cheap integrity seal stored
+//! helper data and enrollment records are checked against on every read.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -84,6 +88,20 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     digest
 }
 
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a 64-bit FNV-1a state. Chaining calls hashes the
+/// concatenation, so a seal can stream fields (e.g.
+/// `BitString::bytes`) without assembling them in a buffer.
+#[must_use]
+pub fn fnv1a(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes
+        .into_iter()
+        .fold(hash, |hash, b| (hash ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
 /// Hex rendering of a digest (for display and tests).
 #[must_use]
 pub fn to_hex(digest: &[u8]) -> String {
@@ -93,6 +111,17 @@ pub fn to_hex(digest: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_chains() {
+        assert_eq!(fnv1a(FNV1A_OFFSET, []), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, *b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, *b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_OFFSET, *b"foo"), *b"bar"),
+            fnv1a(FNV1A_OFFSET, *b"foobar")
+        );
+    }
 
     #[test]
     fn fips_vector_empty() {

@@ -21,7 +21,7 @@
 //! * [`fuzzy`] — the code-offset fuzzy extractor (secure sketch + key
 //!   derivation), the construction PUF key generators actually use.
 //! * [`hash`] — SHA-256 (FIPS 180-4), implemented in-house, for key
-//!   derivation.
+//!   derivation, and the FNV-1a digest that seals stored helper data.
 //! * [`area`] — gate-equivalent area models for the decoders and the PUF
 //!   array, plus the design-space search behind the paper's area table.
 //! * [`keygen`] — end-to-end 128-bit key enrollment and reconstruction,

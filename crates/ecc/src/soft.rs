@@ -255,7 +255,7 @@ impl SoftConcatDecoder {
                     }
                 })
                 .collect();
-            w = w.concat(&recovered);
+            w.extend_from_bits(&recovered);
         }
         Some(helper.derive_key_for(&w))
     }
@@ -282,7 +282,7 @@ impl SoftConcatDecoder {
                 .map(|(i, soft)| if offset.get(i) { soft.flipped() } else { *soft })
                 .collect();
             let codeword = self.decode_soft(&shifted)?;
-            w = w.concat(&codeword.xor(offset));
+            w.extend_from_bits(&codeword.xor(offset));
         }
         Some(helper.derive_key_for(&w))
     }

@@ -141,32 +141,88 @@ impl BitString {
         self.iter().collect()
     }
 
-    /// The sub-string `[start, start + len)`.
+    /// The sub-string `[start, start + len)`, shifted out a word at a time.
     ///
     /// # Panics
     /// Panics if the range exceeds the string.
     #[must_use]
     pub fn slice(&self, start: usize, len: usize) -> Self {
         assert!(start + len <= self.len, "slice out of range");
-        Self::from_fn(len, |i| self.get(start + i))
+        let (first, shift) = (start / 64, start % 64);
+        let words = (first..first + len.div_ceil(64))
+            .map(|w| {
+                let low = self.words[w] >> shift;
+                match self.words.get(w + 1) {
+                    Some(next) if shift > 0 => low | next << (64 - shift),
+                    _ => low,
+                }
+            })
+            .collect();
+        let mut out = Self { words, len };
+        out.clear_padding();
+        out
     }
 
     /// Concatenates two strings.
     #[must_use]
     pub fn concat(&self, other: &Self) -> Self {
-        self.iter().chain(other.iter()).collect()
+        let mut out = self.clone();
+        out.extend_from_bits(other);
+        out
     }
 
-    /// Packs the bits into bytes, LSB-first within each byte, zero-padded.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = vec![0u8; self.len.div_ceil(8)];
-        for i in 0..self.len {
-            if self.get(i) {
-                bytes[i / 8] |= 1 << (i % 8);
+    /// Appends `other` in place, a word at a time.
+    pub fn extend_from_bits(&mut self, other: &Self) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            self.words.reserve(other.words.len());
+            for &word in &other.words {
+                let last = self.words.len() - 1;
+                self.words[last] |= word << shift;
+                self.words.push(word >> (64 - shift));
             }
         }
+        self.len += other.len;
+        // The final push may hold only (zero) padding bits of `other`.
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
+    /// The bytes of [`Self::to_bytes`] without the allocation: byte `i`
+    /// is read straight out of word `i / 8` (little-endian), so a seal
+    /// can hash a string in place.
+    pub fn bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        debug_assert!(self.padding_is_zero(), "nonzero padding bits");
+        (0..self.len.div_ceil(8)).map(move |i| (self.words[i / 8] >> (8 * (i % 8))) as u8)
+    }
+
+    /// Packs the bits into bytes, LSB-first within each byte, zero-padded:
+    /// each word's little-endian bytes, cut to `ceil(len / 8)`.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        debug_assert!(self.padding_is_zero(), "nonzero padding bits");
+        let mut bytes = Vec::with_capacity(self.words.len() * 8);
+        for word in &self.words {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.truncate(self.len.div_ceil(8));
         bytes
+    }
+
+    /// Zeroes the bits of the last word above `len`. Every constructor
+    /// and mutator keeps them zero, which the derived `Eq`/`Hash` and the
+    /// whole-word kernels (`count_ones`, `to_bytes`) rely on.
+    fn clear_padding(&mut self) {
+        let tail = self.len % 64;
+        if let Some(last) = self.words.last_mut().filter(|_| tail > 0) {
+            *last &= (1 << tail) - 1;
+        }
+    }
+
+    fn padding_is_zero(&self) -> bool {
+        let tail = self.len % 64;
+        tail == 0 || self.words.last().is_some_and(|w| w >> tail == 0)
     }
 }
 
@@ -205,6 +261,7 @@ impl fmt::Display for BitString {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_is_empty_of_ones() {
@@ -293,5 +350,128 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         let _ = BitString::zeros(5).get(5);
+    }
+
+    /// Bit-serial reference packing: one `get` per bit.
+    fn reference_bytes(s: &BitString) -> Vec<u8> {
+        let mut bytes = vec![0u8; s.len().div_ceil(8)];
+        for i in 0..s.len() {
+            if s.get(i) {
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        bytes
+    }
+
+    /// Bit-serial reference slice and concatenation over `bool`s.
+    fn reference_slice(s: &BitString, start: usize, len: usize) -> Vec<bool> {
+        (start..start + len).map(|i| s.get(i)).collect()
+    }
+
+    fn reference_concat(a: &BitString, b: &BitString) -> Vec<bool> {
+        a.iter().chain(b.iter()).collect()
+    }
+
+    /// Lengths straddling every word and byte edge the kernels special-case.
+    const EDGE_LENS: [usize; 14] = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 300];
+
+    fn assert_kernels_match(s: &BitString) {
+        assert!(s.padding_is_zero(), "len {}", s.len());
+        // Same words as a bit-by-bit build, so derived `Eq`/`Hash` agree.
+        assert_eq!(s, &BitString::from_bools(&s.to_bools()), "len {}", s.len());
+        let expected = reference_bytes(s);
+        assert_eq!(s.to_bytes(), expected, "to_bytes, len {}", s.len());
+        let view: Vec<u8> = s.bytes().collect();
+        assert_eq!(view, expected, "bytes, len {}", s.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// `to_bytes` and the byte view agree with bit-serial packing at
+        /// every length in 0..=300.
+        #[test]
+        fn packing_matches_the_bit_serial_oracle(
+            pool in prop::collection::vec(any::<bool>(), 300..=300)
+        ) {
+            for len in 0..=300 {
+                assert_kernels_match(&BitString::from_bools(&pool[..len]));
+            }
+        }
+
+        /// Word-wise `slice` matches the bit-serial reference from every
+        /// start offset mod 64, at lengths across word edges.
+        #[test]
+        fn slice_matches_the_bit_serial_oracle(
+            pool in prop::collection::vec(any::<bool>(), 300..=300)
+        ) {
+            let s = BitString::from_bools(&pool);
+            for start in 0..=172 {
+                for len in EDGE_LENS.into_iter().filter(|&l| start + l <= 300) {
+                    let sliced = s.slice(start, len);
+                    prop_assert_eq!(sliced.to_bools(), reference_slice(&s, start, len));
+                    assert_kernels_match(&sliced);
+                }
+                let tail = s.slice(start, 300 - start);
+                prop_assert_eq!(tail.to_bools(), reference_slice(&s, start, 300 - start));
+                assert_kernels_match(&tail);
+            }
+        }
+
+        /// Word-wise `concat` and `extend_from_bits` match the bit-serial
+        /// reference for every left length mod 64.
+        #[test]
+        fn concat_matches_the_bit_serial_oracle(
+            left in prop::collection::vec(any::<bool>(), 130..=130),
+            right in prop::collection::vec(any::<bool>(), 300..=300)
+        ) {
+            for la in 0..=130 {
+                let a = BitString::from_bools(&left[..la]);
+                for lb in EDGE_LENS {
+                    let b = BitString::from_bools(&right[..lb]);
+                    let joined = a.concat(&b);
+                    prop_assert_eq!(joined.to_bools(), reference_concat(&a, &b));
+                    assert_kernels_match(&joined);
+                    let mut grown = a.clone();
+                    grown.extend_from_bits(&b);
+                    prop_assert_eq!(&grown, &joined);
+                }
+            }
+        }
+
+        /// Every constructor and mutator leaves the bits above `len` zero.
+        #[test]
+        fn padding_stays_zero_under_every_mutator(
+            pool in prop::collection::vec(any::<bool>(), 300..=300)
+        ) {
+            for len in EDGE_LENS {
+                let ones = BitString::from_fn(len, |_| true);
+                let s = BitString::from_bools(&pool[..len]);
+                let mut extended = BitString::from_bools(&pool[..len / 2]);
+                extended.extend(pool[len / 2..len].iter().copied());
+                for built in [
+                    BitString::zeros(len),
+                    ones.clone(),
+                    extended,
+                    s.xor(&ones),
+                    ones.slice(0, len / 2),
+                    ones.slice(len / 3, len - len / 3),
+                    ones.concat(&s),
+                    s.concat(&ones),
+                ] {
+                    prop_assert!(built.padding_is_zero(), "len {len}");
+                }
+                if len > 0 {
+                    let mut set = s.clone();
+                    set.set(len - 1, true);
+                    set.set(0, true);
+                    prop_assert!(set.padding_is_zero(), "set, len {len}");
+                    let mut flipped = ones.clone();
+                    flipped.flip(len - 1);
+                    flipped.flip(len - 1);
+                    prop_assert!(flipped.padding_is_zero(), "flip, len {len}");
+                }
+            }
+        }
     }
 }

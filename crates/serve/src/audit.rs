@@ -40,6 +40,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use aro_ecc::hash::{fnv1a, FNV1A_OFFSET};
 use aro_obs::json;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -83,14 +84,8 @@ fn trial() -> u64 {
     TRIAL.load(Ordering::Relaxed)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
+fn fnv_u64(hash: u64, value: u64) -> u64 {
+    fnv1a(hash, value.to_le_bytes())
 }
 
 /// The seed-derived request id: a pure function of `(trial, device,
@@ -99,7 +94,7 @@ fn fnv_u64(mut hash: u64, value: u64) -> u64 {
 /// (event bases are unique per request).
 #[must_use]
 pub fn request_id(trial: u64, device: u64, target: u64, event_base: u64) -> u64 {
-    let mut hash = fnv_u64(FNV_OFFSET, trial);
+    let mut hash = fnv_u64(FNV1A_OFFSET, trial);
     hash = fnv_u64(hash, device);
     hash = fnv_u64(hash, target);
     fnv_u64(hash, event_base)

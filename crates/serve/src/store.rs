@@ -35,6 +35,7 @@
 //! streams, all byte-deterministic under one injector.
 
 use aro_ecc::fuzzy::HelperData;
+use aro_ecc::hash::{fnv1a, FNV1A_OFFSET};
 use aro_faults::FaultInjector;
 use aro_metrics::bits::BitString;
 
@@ -50,18 +51,8 @@ pub const STORE_WINDOW_BASE: u64 = 1 << 40;
 /// replica 0 reproduces the pre-replication store byte-for-byte.
 pub const REPLICA_WINDOW_STRIDE: u64 = 1 << 20;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv(hash, &value.to_le_bytes())
+    fnv1a(hash, value.to_le_bytes())
 }
 
 /// One device's verifier-side enrollment, integrity-sealed.
@@ -109,17 +100,19 @@ impl StoredRecord {
         record
     }
 
+    /// The seal, streamed field by field through [`BitString::bytes`]: a
+    /// read re-checks every replica, so this allocates nothing.
     fn digest(&self) -> u64 {
-        let mut hash = fnv_u64(FNV_OFFSET, self.device_id);
+        let mut hash = fnv_u64(FNV1A_OFFSET, self.device_id);
         for &(a, b) in &self.challenge_pairs {
             hash = fnv_u64(hash, a as u64);
             hash = fnv_u64(hash, b as u64);
         }
         hash = fnv_u64(hash, self.reference.len() as u64);
-        hash = fnv(hash, &self.reference.to_bytes());
+        hash = fnv1a(hash, self.reference.bytes());
         hash = fnv_u64(hash, self.helper.digest());
         hash = fnv_u64(hash, self.key.len() as u64);
-        hash = fnv(hash, &self.key.to_bytes());
+        hash = fnv1a(hash, self.key.bytes());
         fnv_u64(hash, self.repair_generation)
     }
 
@@ -821,5 +814,113 @@ mod tests {
         assert_eq!(store.repair(record(0)), 1, "no surviving lineage restarts at 1");
         let summary = store.replica_summary(0);
         assert_eq!((summary.intact, summary.corrupt, summary.wiped), (2, 0, 0));
+    }
+
+    /// Conventional-cell helper size: one code offset this long plus the
+    /// 128-bit salt makes the 28,943 stored bits of the RO key generator.
+    const RO_OFFSET_BITS: usize = 28_815;
+    const SCRIPTED_SALT: [u8; 16] = [
+        0xa5, 0x5a, 0x00, 0xff, 0x01, 0x80, 0x7e, 0x3c, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
+        0x88,
+    ];
+
+    /// Fills byte buffers with [`SCRIPTED_SALT`] and draws only zero
+    /// words: the extractor's salt is known and its random codeword is
+    /// the zero codeword, so the stored offset equals the response.
+    struct ScriptedRng;
+
+    impl rand::RngCore for ScriptedRng {
+        fn next_u32(&mut self) -> u32 {
+            0
+        }
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.copy_from_slice(&SCRIPTED_SALT[..dest.len()]);
+        }
+    }
+
+    /// A record sized like a conventional-cell enrollment, and the
+    /// response its single helper offset holds.
+    fn ro_sized_record() -> (StoredRecord, BitString) {
+        let fe = aro_ecc::FuzzyExtractor::new(aro_ecc::RepetitionCode::new(RO_OFFSET_BITS), 1);
+        let response = BitString::from_fn(RO_OFFSET_BITS, |i| (i * 7 + i / 5) % 3 == 0);
+        let (key, helper) = fe.generate(&response, &mut ScriptedRng);
+        let pairs = (0..64).map(|i| (2 * i, 2 * i + 1)).collect();
+        let reference = BitString::from_fn(64, |i| i % 5 < 2);
+        let record = StoredRecord::new(42, pairs, reference, helper, key.truncated(128));
+        (record, response)
+    }
+
+    /// Bit-serial FNV-1a over one `get` per bit — independent of the
+    /// word-wise packing the seal streams through.
+    fn reference_fnv(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    fn reference_bits(mut hash: u64, bits: &BitString) -> u64 {
+        hash = reference_fnv(hash, &(bits.len() as u64).to_le_bytes());
+        let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+        for i in 0..bits.len() {
+            if bits.get(i) {
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        reference_fnv(hash, &bytes)
+    }
+
+    #[test]
+    fn ro_sized_seal_matches_a_bit_serial_reference() {
+        let (record, response) = ro_sized_record();
+        assert_eq!(record.helper().stored_bits(), RO_OFFSET_BITS + 128);
+        let helper_digest = reference_fnv(
+            reference_bits(0xcbf2_9ce4_8422_2325, &response),
+            &SCRIPTED_SALT,
+        );
+        assert_eq!(record.helper().digest(), helper_digest);
+
+        let mut hash = reference_fnv(0xcbf2_9ce4_8422_2325, &42u64.to_le_bytes());
+        for &(a, b) in record.challenge_pairs() {
+            hash = reference_fnv(hash, &(a as u64).to_le_bytes());
+            hash = reference_fnv(hash, &(b as u64).to_le_bytes());
+        }
+        hash = reference_bits(hash, record.reference());
+        hash = reference_fnv(hash, &helper_digest.to_le_bytes());
+        hash = reference_bits(hash, record.key());
+        hash = reference_fnv(hash, &0u64.to_le_bytes());
+        assert_eq!(record.checksum, hash);
+        assert!(record.is_intact());
+    }
+
+    #[test]
+    fn ro_sized_seal_fails_closed_on_any_flipped_helper_bit() {
+        let (record, _) = ro_sized_record();
+        let last = RO_OFFSET_BITS - 1;
+        // 28,815 = 3601 · 8 + 7: bit 28,810 sits in the final partial byte.
+        let final_partial_byte = RO_OFFSET_BITS / 8 * 8 + 2;
+        let tamper = |bit: usize| StoredRecord {
+            helper: record.helper().with_flipped_bits(&[(0, bit)]),
+            ..record.clone()
+        };
+        for bit in [0, 63, 64, last, final_partial_byte] {
+            assert!(!tamper(bit).is_intact(), "flipped helper bit {bit}");
+        }
+
+        let mut store = ShardedStore::for_fleet_replicated(64, 2, 2);
+        store.insert(record.clone());
+        store.put_slot(42, 0, Some(tamper(64)));
+        let (outcome, summary) = store.read_with_replicas(42);
+        assert!(matches!(outcome, ReadOutcome::Intact(r) if *r == record));
+        assert_eq!(summary.served, Some(1));
+        assert_eq!((summary.intact, summary.corrupt, summary.wiped), (1, 1, 0));
+
+        store.put_slot(42, 1, Some(tamper(last)));
+        let (outcome, summary) = store.read_with_replicas(42);
+        assert!(matches!(outcome, ReadOutcome::Corrupt(_)));
+        assert_eq!((summary.intact, summary.corrupt, summary.wiped), (0, 2, 0));
     }
 }

@@ -109,10 +109,13 @@ fi
 # (the section first appears in BENCH_pr9.json; older captures predate
 # it). The committed captures are fault-free, so the storm run above
 # cannot be the comparison point — its timeouts and quarantines would
-# trip the gate every time. Simulated latencies are deterministic, so a
-# p99 move is a real behavioural change — but auths/sec divides by wall
-# time, so like everything here this warns and never fails. Tune with
-# SERVE_BENCH_THRESHOLD (default 0.3).
+# trip the gate every time. Both numbers are deterministic model outputs:
+# the p99 is a simulated latency, and auths/sec divides served requests
+# by *simulated* µs (BenchStats::auths_per_sec), not by wall time. A move
+# in either is therefore a behaviour change, not host speed (host-time
+# serve cost is perfbench's verify_us_* metrics). Like everything here
+# this warns and never fails. Tune with SERVE_BENCH_THRESHOLD (default
+# 0.3).
 SERVE_THRESHOLD="${SERVE_BENCH_THRESHOLD:-0.3}"
 SCRUB_THRESHOLD="${SCRUB_OVERHEAD_THRESHOLD:-0.4}"
 serve_baseline=""

@@ -19,6 +19,13 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The host-time benchmark (perfbench/) is a package of its own that
+# builds against the crates by path, so the workspace build above does
+# not compile it. Type-check it here so a crate API change that breaks
+# the benchmark fails verification, not the benchmark run.
+echo "==> cargo check perfbench"
+cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
+
 # Bench smoke: run each microbenchmark once (the vendored criterion runs a
 # single iteration when invoked without `--bench`), proving the bench
 # harness still compiles and executes. Full timing comparisons live in
