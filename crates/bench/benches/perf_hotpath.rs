@@ -3,7 +3,8 @@
 //! parallel population fabrication, one aging-timeline checkpoint, and
 //! the verify read path — a sealed, replicated store read of a
 //! conventional-cell-sized record and the bit kernels its seal and key
-//! derivation run on.
+//! derivation run on — and the re-enrollment continuity gate's
+//! erasure-aware soft reconstruction at the conventional cell's width.
 //!
 //! Compare against `BENCH_baseline.json` at the workspace root with
 //! `scripts/bench_check.sh`; the end-to-end numbers live in
@@ -12,14 +13,14 @@
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
 use aro_device::units::YEAR;
-use aro_ecc::{FuzzyExtractor, RepetitionCode};
+use aro_ecc::{BchCode, Code, Erasures, FuzzyExtractor, RepetitionCode, SoftBit, SoftConcatDecoder};
 use aro_metrics::bits::BitString;
 use aro_puf::{Chip, MissionProfile, Population, PufDesign};
 use aro_serve::store::{ShardedStore, StoredRecord};
 use aro_sim::runner::measure_flip_timeline;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 /// The conventional cell's helper offset length: with the 128-bit salt it
@@ -100,9 +101,45 @@ fn bench_verify_path(c: &mut Criterion) {
     });
 }
 
+fn bench_continuity_gate(c: &mut Criterion) {
+    // The conventional cell's quick-scale key code under the full storm:
+    // 149x repetition ⊗ BCH(511,130,55), one block of 76,139 response bits.
+    let decoder = SoftConcatDecoder::new(BchCode::new(9, 55), RepetitionCode::new(149));
+    let n = decoder.code().n();
+    let fe = FuzzyExtractor::new(decoder.code().clone(), 1);
+    let mut rng = StdRng::seed_from_u64(11);
+    let w: BitString = (0..n).map(|_| rng.gen::<bool>()).collect();
+    let (_, helper) = fe.generate(&w, &mut rng);
+    let reading: Vec<SoftBit> = w
+        .iter()
+        .map(|bit| SoftBit::new(bit ^ rng.gen_bool(0.2), rng.gen_range(0.1..2.0)))
+        .collect();
+    // About 1 % of positions erased, split between flagged helper bits
+    // and BIST-flagged response bits.
+    let erasures = Erasures {
+        helper: (0..n / 200).map(|_| (0, rng.gen_range(0..n))).collect(),
+        response: (0..n / 200).map(|_| rng.gen_range(0..n)).collect(),
+    };
+    // The reading decodes: every call runs the full gate, key derivation
+    // included.
+    assert!(decoder
+        .reproduce_soft_erasure_aware(&reading, &helper, &erasures)
+        .is_some());
+
+    c.bench_function("reproduce_soft_erasure_aware_ro", |b| {
+        b.iter(|| {
+            black_box(decoder.reproduce_soft_erasure_aware(
+                black_box(&reading),
+                black_box(&helper),
+                black_box(&erasures),
+            ))
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench, bench_verify_path
+    targets = bench, bench_verify_path, bench_continuity_gate
 }
 criterion_main!(benches);

@@ -221,41 +221,46 @@ impl SoftConcatDecoder {
     ) -> Option<Key> {
         use crate::code::Code;
         let n = self.code.n();
-        if response.len() < helper.blocks() * n {
+        let blocks = helper.blocks();
+        let span = blocks * n;
+        if response.len() < span {
             return None;
         }
-        let helper_erased: std::collections::HashSet<(usize, usize)> =
-            erasures.helper.iter().copied().collect();
-        let response_erased: std::collections::HashSet<usize> =
-            erasures.response.iter().copied().collect();
+        // Flat helper positions inside the decoded span; anything past a
+        // block or past the last block is no position at all.
+        let helper_flat = erasures
+            .helper
+            .iter()
+            .filter(|&&(block, bit)| block < blocks && bit < n)
+            .map(|&(block, bit)| block * n + bit);
+        // One mask for both kinds: either one makes the bit vote with
+        // weight 0. Duplicates set the same bit twice.
+        let mut erased = BitString::zeros(span);
+        for pos in helper_flat.clone().chain(erasures.response.iter().copied()) {
+            if pos < span {
+                erased.set(pos, true);
+            }
+        }
         let mut w = BitString::zeros(0);
+        let mut shifted = Vec::with_capacity(n);
         for (block_index, offset) in helper.offsets().iter().enumerate() {
             let base = block_index * n;
-            let shifted: Vec<SoftBit> = response[base..base + n]
-                .iter()
-                .enumerate()
-                .map(|(i, soft)| {
-                    let s = if offset.get(i) { soft.flipped() } else { *soft };
-                    if helper_erased.contains(&(block_index, i))
-                        || response_erased.contains(&(base + i))
-                    {
-                        SoftBit::erasure(s.value)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
+            shifted.clear();
+            shifted.extend(response[base..base + n].iter().enumerate().map(|(i, soft)| {
+                let s = if offset.get(i) { soft.flipped() } else { *soft };
+                if erased.get(base + i) {
+                    SoftBit::erasure(s.value)
+                } else {
+                    s
+                }
+            }));
             let codeword = self.decode_soft(&shifted)?;
-            let recovered: BitString = (0..n)
-                .map(|i| {
-                    if helper_erased.contains(&(block_index, i)) {
-                        response[base + i].value
-                    } else {
-                        codeword.get(i) ^ offset.get(i)
-                    }
-                })
-                .collect();
-            w.extend_from_bits(&recovered);
+            w.extend_from_bits(&codeword.xor(offset));
+        }
+        // A flagged offset bit cannot be re-applied: the enrollment bit
+        // there falls back to the measured response bit.
+        for pos in helper_flat {
+            w.set(pos, response[pos].value);
         }
         Some(helper.derive_key_for(&w))
     }
@@ -293,8 +298,116 @@ mod tests {
     use super::*;
     use crate::code::Code;
     use crate::fuzzy::FuzzyExtractor;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    /// The set-probing erasure-aware reconstruction the flat masks
+    /// replaced, kept verbatim as the oracle they must match bit for bit.
+    fn reproduce_soft_erasure_aware_oracle(
+        decoder: &SoftConcatDecoder,
+        response: &[SoftBit],
+        helper: &HelperData,
+        erasures: &Erasures,
+    ) -> Option<Key> {
+        let n = decoder.code.n();
+        if response.len() < helper.blocks() * n {
+            return None;
+        }
+        let helper_erased: HashSet<(usize, usize)> = erasures.helper.iter().copied().collect();
+        let response_erased: HashSet<usize> = erasures.response.iter().copied().collect();
+        let mut w = BitString::zeros(0);
+        for (block_index, offset) in helper.offsets().iter().enumerate() {
+            let base = block_index * n;
+            let shifted: Vec<SoftBit> = response[base..base + n]
+                .iter()
+                .enumerate()
+                .map(|(i, soft)| {
+                    let s = if offset.get(i) { soft.flipped() } else { *soft };
+                    if helper_erased.contains(&(block_index, i))
+                        || response_erased.contains(&(base + i))
+                    {
+                        SoftBit::erasure(s.value)
+                    } else {
+                        s
+                    }
+                })
+                .collect();
+            let codeword = decoder.decode_soft(&shifted)?;
+            let recovered: BitString = (0..n)
+                .map(|i| {
+                    if helper_erased.contains(&(block_index, i)) {
+                        response[base + i].value
+                    } else {
+                        codeword.get(i) ^ offset.get(i)
+                    }
+                })
+                .collect();
+            w.extend_from_bits(&recovered);
+        }
+        Some(helper.derive_key_for(&w))
+    }
+
+    proptest! {
+        /// The mask-based reconstruction returns exactly the oracle's key
+        /// (or exactly its failure) over noisy readings, eroded helper
+        /// data, and erasure lists carrying duplicates and positions past
+        /// the end of a block or of the whole response.
+        #[test]
+        fn erasure_masks_match_the_set_probing_oracle(
+            seed in any::<u64>(),
+            m in 4u32..=5,
+            r in prop::sample::select(vec![1usize, 3, 5]),
+            blocks in 1usize..=3,
+            noise in 0.0f64..0.25,
+        ) {
+            let decoder = SoftConcatDecoder::new(BchCode::new(m, 2), RepetitionCode::new(r));
+            let n = decoder.code().n();
+            let fe = FuzzyExtractor::new(decoder.code().clone(), blocks);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
+            let (_, helper) = fe.generate(&w, &mut rng);
+            let reading: Vec<SoftBit> = w
+                .iter()
+                .map(|bit| SoftBit::new(bit ^ rng.gen_bool(noise), rng.gen_range(0.1..3.0)))
+                .collect();
+            let in_range: Vec<(usize, usize)> = (0..rng.gen_range(0..6))
+                .map(|_| (rng.gen_range(0..blocks), rng.gen_range(0..n)))
+                .collect();
+            let eroded = helper.with_flipped_bits(&in_range);
+            // Flags past the end of a block must not spill into the next
+            // one, and flags past the last block are no position at all.
+            let mut helper_erased = in_range.clone();
+            for _ in 0..3 {
+                let (block, past): (usize, usize) = (rng.gen_range(0..blocks), rng.gen_range(0..n));
+                helper_erased.push((block, n + past));
+            }
+            for _ in 0..2 {
+                let (past, bit): (usize, usize) = (rng.gen_range(0..2), rng.gen_range(0..n));
+                helper_erased.push((blocks + past, bit));
+            }
+            helper_erased.extend(in_range.into_iter().take(2));
+            let mut response: Vec<usize> = (0..rng.gen_range(0..6))
+                .map(|_| rng.gen_range(0..blocks * n))
+                .collect();
+            response.extend(response.clone().into_iter().take(2));
+            for _ in 0..2 {
+                let past: usize = rng.gen_range(0..8);
+                response.push(blocks * n + past);
+            }
+            let erasures = Erasures {
+                helper: helper_erased,
+                response,
+            };
+            for helper in [&helper, &eroded] {
+                prop_assert_eq!(
+                    decoder.reproduce_soft_erasure_aware(&reading, helper, &erasures),
+                    reproduce_soft_erasure_aware_oracle(&decoder, &reading, helper, &erasures)
+                );
+            }
+        }
+    }
 
     fn soft(bits: &[(bool, f64)]) -> Vec<SoftBit> {
         bits.iter().map(|&b| SoftBit::from(b)).collect()

@@ -8,7 +8,9 @@
 //! plan-parallel-fold-in-index-order discipline that keeps every other
 //! sweep in this repo byte-identical at any `--threads N`. A
 //! maintenance pass after each genuine round routes quarantined devices
-//! through re-enrollment, with exponential backoff on devices whose
+//! through re-enrollment with the same split — the reads and decodes of
+//! every due device fan out, the store writes fold in ascending device
+//! id — and with exponential backoff on devices whose
 //! re-enrollment keeps failing: a broken device is retried after 2,
 //! then 4, then 8… rounds instead of every round, so an unhealable
 //! fleet costs logarithmically many maintenance reads, not one full
@@ -213,30 +215,44 @@ pub fn run_bench(
         genuine_denied += denied;
         wall_us += round_wall;
         // Maintenance: quarantined devices come in for re-enrollment,
-        // skipping any still inside their failure backoff window.
-        for id in service.quarantined_ids() {
-            if retry_after.get(&id).is_some_and(|&(next, _)| round < next) {
-                continue;
-            }
-            let Some(chip) = fleet.get_mut(id as usize) else {
-                continue;
-            };
-            let event_base = REENROLL_EVENT_BASE + (round * n as u64 + id) * EVENT_STRIDE;
-            if service.reenroll(
-                chip,
-                id,
-                id,
-                ctx.key_pairs,
-                ctx.generator,
-                ctx.design,
-                ctx.env,
-                inj,
-                event_base,
-            ) {
-                retry_after.remove(&id);
-            } else {
-                let failures = retry_after.get(&id).map_or(0, |&(_, f)| f) + 1;
-                retry_after.insert(id, (round + (1u64 << failures.min(16)), failures));
+        // skipping any still inside their failure backoff window. The
+        // health state cannot move during the pass (only admitted
+        // traffic moves it) and each due device touches only its own
+        // chip, record and seeded stream, so the reads fan out like a
+        // traffic round and the writes fold in ascending device id.
+        let svc: &AuthService = service;
+        let mut due: Vec<(u64, &mut Chip)> = fleet
+            .iter_mut()
+            .zip(0u64..)
+            .filter(|&(_, id)| {
+                let backing_off = retry_after.get(&id).is_some_and(|&(next, _)| round < next);
+                svc.is_quarantined(id) && !backing_off
+            })
+            .map(|(chip, id)| (id, chip))
+            .collect();
+        if !due.is_empty() {
+            let _span = aro_obs::span("serve.reenroll");
+            let outcomes = aro_par::par_map_mut(&mut due, |_, (id, chip)| {
+                svc.reenroll_probe(
+                    chip,
+                    *id,
+                    *id,
+                    ctx.key_pairs,
+                    ctx.generator,
+                    ctx.design,
+                    ctx.env,
+                    inj,
+                    REENROLL_EVENT_BASE + (round * n as u64 + *id) * EVENT_STRIDE,
+                )
+            });
+            for outcome in outcomes {
+                let id = outcome.target_id;
+                if service.reenroll_admit(outcome) {
+                    retry_after.remove(&id);
+                } else {
+                    let failures = retry_after.get(&id).map_or(0, |&(_, f)| f) + 1;
+                    retry_after.insert(id, (round + (1u64 << failures.min(16)), failures));
+                }
             }
         }
         // Anti-entropy scrub closes the maintenance pass: any replica

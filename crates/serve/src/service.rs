@@ -6,11 +6,13 @@
 //! 1. **Never a wrong answer.** Corrupt records, malformed responses,
 //!    and timed-out reads all *fail closed* — they reject (or shed with
 //!    retry-after), they never accept and never panic.
-//! 2. **Deterministic under threads.** [`AuthService::probe`] is `&self`
-//!    and pure per device (every random draw comes from a seed-derived
-//!    stream keyed by `(device, event)`), so a round of probes can fan
-//!    out through `aro-par`; all state mutation happens in
-//!    [`AuthService::admit`], called sequentially in device-index order.
+//! 2. **Deterministic under threads.** [`AuthService::probe`] and
+//!    [`AuthService::reenroll_probe`] are `&self` and pure per device
+//!    (every random draw comes from a seed-derived stream keyed by
+//!    `(device, event)`), so a traffic round or a maintenance pass can
+//!    fan out through `aro-par`; all state mutation happens in
+//!    [`AuthService::admit`] and [`AuthService::reenroll_admit`], called
+//!    sequentially in device-index order.
 //! 3. **Degrade, don't die.** A windowed operational-error rate drives
 //!    healthy → degraded → read-only transitions (with hysteresis on the
 //!    way back). Degraded sheds a deterministic quarter of traffic with
@@ -280,6 +282,47 @@ pub struct RequestOutcome {
     /// threads), emitted by `admit` (sequential). `None` while the
     /// audit trail is off.
     pub audit: Option<Box<RequestAudit>>,
+}
+
+/// What one re-enrollment probe concluded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReenrollVerdict {
+    /// The service was read-only: no chip read, no store write.
+    RefusedReadOnly,
+    /// No replica holds a record for the device.
+    Missing,
+    /// The continuity gate failed on every attempt.
+    GateFailed,
+    /// The gate passed: the device's enrollment re-anchored on today's
+    /// silicon, waiting to be resealed into the store.
+    Readmitted(Box<StoredRecord>),
+}
+
+impl ReenrollVerdict {
+    /// Stable lowercase label (audit `outcome` field).
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            Self::RefusedReadOnly => "refused_read_only",
+            Self::Missing => "missing",
+            Self::GateFailed => "gate_failed",
+            Self::Readmitted(_) => "readmitted",
+        }
+    }
+}
+
+/// One device's re-enrollment outcome (probe result, admitted
+/// sequentially).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReenrollOutcome {
+    /// The record being re-enrolled.
+    pub target_id: u64,
+    /// First measurement event of the maintenance visit.
+    pub event_base: u64,
+    /// Soft reads spent on the continuity gate (0 when none was made).
+    pub attempts: u64,
+    /// The decision.
+    pub verdict: ReenrollVerdict,
 }
 
 /// The simulated verifier backend.
@@ -893,16 +936,21 @@ impl AuthService {
         }
     }
 
-    /// The quarantine → re-enrollment → re-admission path: reconstruct
-    /// the device's current key erasure-aware from the (damaged) stored
-    /// record — `ecc::refresh`'s continuity gate — then re-anchor the
-    /// whole enrollment (helper data *and* CRP reference) on today's
-    /// silicon and reseal the record. Returns whether the device was
-    /// re-admitted. Refused outright in read-only state: re-enrollment
-    /// is a store write.
+    /// The read half of the quarantine → re-enrollment → re-admission
+    /// path: reconstruct the device's current key erasure-aware from the
+    /// (damaged) stored record — `ecc::refresh`'s continuity gate — and,
+    /// once it passes, re-anchor the whole enrollment (helper data *and*
+    /// CRP reference) on today's silicon. Writes nothing: the new record
+    /// rides on the outcome to [`AuthService::reenroll_admit`]. Pure per
+    /// device given the event base (its own chip, record and seeded
+    /// stream), so a maintenance pass can fan out across `aro-par`
+    /// workers like a traffic round. Refused outright in read-only
+    /// state — re-enrollment is a store write — without touching the
+    /// chip.
+    #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn reenroll(
-        &mut self,
+    pub fn reenroll_probe(
+        &self,
         chip: &mut Chip,
         probe_id: u64,
         target_id: u64,
@@ -912,27 +960,21 @@ impl AuthService {
         env: &Environment,
         inj: Option<&FaultInjector>,
         event_base: u64,
-    ) -> bool {
+    ) -> ReenrollOutcome {
+        let outcome = |attempts, verdict| ReenrollOutcome {
+            target_id,
+            event_base,
+            attempts,
+            verdict,
+        };
         if self.state == HealthState::ReadOnly {
-            self.tallies.reenroll_refusals += 1;
-            aro_obs::counter("serve.reenroll_refused", 1);
-            audit::emit_reenroll(target_id, event_base, "refused_read_only", 0, 0, self.clock_us);
-            return false;
+            return outcome(0, ReenrollVerdict::RefusedReadOnly);
         }
-        let _span = aro_obs::span("serve.reenroll");
-        let (challenge_pairs, helper, key, flagged) = match self.store.read(target_id) {
-            ReadOutcome::Missing => {
-                audit::emit_reenroll(target_id, event_base, "missing", 0, 0, self.clock_us);
-                return false;
-            }
+        let record = match self.store.read(target_id) {
+            ReadOutcome::Missing => return outcome(0, ReenrollVerdict::Missing),
             // Recovery reads the record even when its checksum fails —
             // that is the whole point of the erasure flags.
-            ReadOutcome::Intact(r) | ReadOutcome::Corrupt(r) => (
-                r.challenge_pairs().to_vec(),
-                r.helper().clone(),
-                r.key().clone(),
-                r.flagged().to_vec(),
-            ),
+            ReadOutcome::Intact(r) | ReadOutcome::Corrupt(r) => r,
         };
         // Device-side BIST: response bits backed by a dead/stuck ring
         // are erasures for the gate's decoder.
@@ -945,18 +987,25 @@ impl AuthService {
             .map(|(bit, _)| bit)
             .collect();
         let known = Erasures {
-            helper: flagged,
+            helper: record.flagged().to_vec(),
             response: bist,
         };
         let mut rng = self.domain.child("reenroll").rng(slot(target_id, event_base));
         for attempt in 0..u64::from(self.policy.retry.max_attempts) {
             let event = event_base + attempt;
-            let soft = faulted_soft_response(chip, design, env, key_pairs, inj, probe_id, event);
+            let soft = {
+                let _span = aro_obs::span("serve.reenroll.soft_read");
+                faulted_soft_response(chip, design, env, key_pairs, inj, probe_id, event)
+            };
             // Gate first: the multi-vote anchor and reference reads below
             // are the expensive half of maintenance, so they only happen
             // once the continuity gate has passed — a broken chain costs
             // one soft read per attempt, nothing more.
-            if !continuity_gate(generator, &soft, &helper, &known, &key) {
+            let passed = {
+                let _span = aro_obs::span("serve.reenroll.gate");
+                continuity_gate(generator, &soft, record.helper(), &known, record.key())
+            };
+            if !passed {
                 continue;
             }
             // Maintenance reads are careful: 5-vote majority anchors at
@@ -964,37 +1013,56 @@ impl AuthService {
             // field).
             let anchor = chip.response_voted(design, env, key_pairs, 5);
             let (new_key, new_helper) = generator.enroll(&anchor, &mut rng);
-            let reference = chip.response_voted(design, env, &challenge_pairs, 5);
-            let generation = self.store.repair(StoredRecord::new(
+            let reference = chip.response_voted(design, env, record.challenge_pairs(), 5);
+            let renewed = StoredRecord::new(
                 target_id,
-                challenge_pairs,
+                record.challenge_pairs().to_vec(),
                 reference,
                 new_helper,
                 new_key,
-            ));
-            self.quarantine.remove(&target_id);
-            self.tallies.reenrolled += 1;
-            aro_obs::counter("serve.reenrolled", 1);
-            audit::emit_reenroll(
-                target_id,
-                event_base,
-                "readmitted",
-                attempt + 1,
-                generation,
-                self.clock_us,
             );
-            return true;
+            return outcome(attempt + 1, ReenrollVerdict::Readmitted(Box::new(renewed)));
         }
-        self.tallies.reenroll_failures += 1;
-        aro_obs::counter("serve.reenroll_failures", 1);
-        audit::emit_reenroll(
+        outcome(
+            u64::from(self.policy.retry.max_attempts),
+            ReenrollVerdict::GateFailed,
+        )
+    }
+
+    /// The write half of re-enrollment: folds one
+    /// [`AuthService::reenroll_probe`] outcome into the service — reseals
+    /// a re-anchored record into the store, lifts the quarantine, and
+    /// updates tallies, counters and the audit trail. Call sequentially,
+    /// in ascending device id. Returns whether the device was
+    /// re-admitted.
+    pub fn reenroll_admit(&mut self, outcome: ReenrollOutcome) -> bool {
+        let ReenrollOutcome {
             target_id,
             event_base,
-            "gate_failed",
-            u64::from(self.policy.retry.max_attempts),
-            0,
-            self.clock_us,
-        );
-        false
+            attempts,
+            verdict,
+        } = outcome;
+        let label = verdict.label();
+        let readmitted = matches!(verdict, ReenrollVerdict::Readmitted(_));
+        let mut generation = 0;
+        match verdict {
+            ReenrollVerdict::RefusedReadOnly => {
+                self.tallies.reenroll_refusals += 1;
+                aro_obs::counter("serve.reenroll_refused", 1);
+            }
+            ReenrollVerdict::Missing => {}
+            ReenrollVerdict::GateFailed => {
+                self.tallies.reenroll_failures += 1;
+                aro_obs::counter("serve.reenroll_failures", 1);
+            }
+            ReenrollVerdict::Readmitted(record) => {
+                generation = self.store.repair(*record);
+                self.quarantine.remove(&target_id);
+                self.tallies.reenrolled += 1;
+                aro_obs::counter("serve.reenrolled", 1);
+            }
+        }
+        audit::emit_reenroll(target_id, event_base, label, attempts, generation, self.clock_us);
+        readmitted
     }
 }

@@ -244,7 +244,8 @@ echo "replica smoke: usage errors rejected, replicated storm deterministic"
 # exp18 under a quarter storm with --audit at 1 and 4 worker threads,
 # require `report incidents` to reconstruct byte-identical causal
 # timelines from both captures, and validate the audit JSONL's schema
-# invariants (monotonic seq, causally linked request chains). See
+# invariants (monotonic seq, causally linked request chains, at least
+# one readmitted and one gate_failed re-enrollment). See
 # docs/OBSERVABILITY.md ("Serve audit trail & incident forensics").
 echo "==> incident smoke (exp18 audit capture + report incidents determinism)"
 audit_dir="$ledger_dir/audit"
@@ -286,6 +287,7 @@ seq = -1
 requests = {}
 verdicts = 0
 scrubs = 0
+reenrolls = {}
 for line in open(sys.argv[1]):
     line = line.strip()
     if not line or '"event":"audit"' not in line:
@@ -314,14 +316,26 @@ for line in open(sys.argv[1]):
         scrubs += 1
         assert ev["outcome"] in ("read_repair", "unrecoverable"), ev["outcome"]
         assert ev["replica"] >= 0 and ev["generation"] >= 0, ev
+    elif stage == "reenroll":
+        assert ev["outcome"] in (
+            "readmitted", "gate_failed", "refused_read_only", "missing",
+        ), ev["outcome"]
+        reenrolls[ev["outcome"]] = reenrolls.get(ev["outcome"], 0) + 1
     elif stage == "store_health":
         assert ev["from"] in ("intact", "replica-degraded", "quorum-critical"), ev
         assert ev["to"] in ("intact", "replica-degraded", "quorum-critical"), ev
 assert verdicts > 0, "audit capture carried no verdicts"
+# The parallel maintenance path (re-enrollment reads fanned out across
+# workers, writes folded in device order) must be on the compared trail
+# with both of its verdicts, or the thread comparison proves nothing
+# about it.
+for outcome in ("readmitted", "gate_failed"):
+    assert reenrolls.get(outcome, 0) > 0, f"audit trail holds no {outcome} re-enrollment: {reenrolls}"
 for req, order in requests.items():
     assert order.count("request") == 1, f"{req}: {order}"
     assert order.count("verdict") <= 1, f"{req}: {order}"
-print(f"audit JSONL valid: {len(requests)} request chains, {verdicts} verdicts, {scrubs} scrub findings")
+print(f"audit JSONL valid: {len(requests)} request chains, {verdicts} verdicts, "
+      f"{scrubs} scrub findings, re-enrollments {dict(sorted(reenrolls.items()))}")
 PY
 echo "incident smoke: forensics byte-identical at 1 and 4 threads"
 

@@ -1,27 +1,113 @@
 //! Fleet-authentication-service robustness tests: thread-count
-//! byte-identity of the `serve-bench` report, deterministic
-//! store-corruption recovery, and the quarantine → helper-refresh →
-//! re-admission round trip.
+//! byte-identity of the `serve-bench` report and of the maintenance
+//! audit trail, deterministic store-corruption recovery, the
+//! quarantine → helper-refresh → re-admission round trip, and the
+//! re-enrollment paths that must never read a chip.
 //!
 //! See `docs/ROBUSTNESS.md` ("Fleet authentication service") for the
 //! contract these tests enforce.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use aro_puf_repro::circuit::ring::RoStyle;
+use aro_puf_repro::device::environment::Environment;
 use aro_puf_repro::ecc::area::PufAreaParams;
 use aro_puf_repro::ecc::keygen::KeyGenerator;
 use aro_puf_repro::faults::{FaultInjector, FaultPlan};
 use aro_puf_repro::puf::{Challenge, Chip, PairingStrategy, PufDesign};
 use aro_puf_repro::serve::{
-    audit, AuthService, BenchPlan, HealthState, ReadOutcome, RequestOutcome, ServicePolicy,
-    ShardedStore, StoredRecord, Verdict,
+    audit, run_bench, AuthService, BenchPlan, FleetContext, HealthState, ReadOutcome,
+    ReenrollVerdict, RequestOutcome, ServicePolicy, ShardedStore, StoredRecord, Verdict,
 };
 use aro_puf_repro::sim::experiments::run_by_id;
 use aro_puf_repro::sim::parallel::set_thread_override;
 use aro_puf_repro::sim::servefleet::FleetWorkspace;
 use aro_puf_repro::sim::{faultctx, popcache, SimConfig};
 use proptest::prelude::*;
+
+/// The audit switch, `aro-obs` enablement, the telemetry sink and the
+/// thread override are process-global, and every test here drives serve
+/// traffic through them: run the tests one at a time.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Restores the global state a capture changed, even when an assertion
+/// fails mid-test.
+struct Cleanup;
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        set_thread_override(0);
+        audit::set_enabled(false);
+        aro_obs::set_enabled(false);
+        aro_obs::sink::close();
+        aro_obs::reset();
+    }
+}
+
+/// Runs `f` with the audit trail captured to memory; returns its result
+/// and the audit JSONL lines it emitted, in order.
+fn capture_audit<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
+    aro_obs::reset();
+    aro_obs::set_enabled(true);
+    audit::set_enabled(true);
+    let buf = aro_obs::sink::install_memory();
+    let out = f();
+    aro_obs::sink::close();
+    audit::set_enabled(false);
+    aro_obs::set_enabled(false);
+    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf-8 telemetry");
+    let lines = text
+        .lines()
+        .filter(|line| line.contains(r#""event":"audit""#))
+        .map(str::to_string)
+        .collect();
+    (out, lines)
+}
+
+/// The `(device, outcome)` of every `reenroll` line, grouped into
+/// maintenance passes: a pass is a maximal run of consecutive
+/// re-enrollment lines (traffic and scrub lines separate passes).
+fn maintenance_passes(trail: &[String]) -> Vec<Vec<(u64, String)>> {
+    let mut passes = vec![Vec::new()];
+    for line in trail {
+        let event = aro_obs::json::parse(line).expect("audit line is JSON");
+        let field = |key| event.get(key).expect("audit field present");
+        if field("stage").as_str() == Some("reenroll") {
+            let device = field("device").as_u64().expect("device id");
+            let outcome = field("outcome").as_str().expect("outcome label");
+            passes.last_mut().unwrap().push((device, outcome.to_string()));
+        } else if !passes.last().unwrap().is_empty() {
+            passes.push(Vec::new());
+        }
+    }
+    passes.retain(|pass| !pass.is_empty());
+    passes
+}
+
+/// The small key generator the direct-drive tests enroll with.
+fn tiny_generator() -> KeyGenerator {
+    let params = PufAreaParams {
+        ro_cell_ge: 3.0,
+        readout_fixed_ge: 120.0,
+        readout_per_ro_ge: 3.0,
+        ros_per_bit: 2.0,
+    };
+    KeyGenerator::for_bit_error_rate(0.05, 32, 1e-6, &params).expect("feasible")
+}
+
+/// An ARO design sized for `generator`, its nominal environment, and
+/// the key pair set.
+fn tiny_design(generator: &KeyGenerator) -> (PufDesign, Environment, Vec<(usize, usize)>) {
+    let n_ros = 2 * generator.response_bits();
+    let design = PufDesign::builder(RoStyle::AgingResistant)
+        .n_ros(n_ros)
+        .seed(0x5e7e)
+        .build();
+    let env = Environment::nominal(design.tech());
+    (design, env, PairingStrategy::Neighbor.pairs(n_ros))
+}
 
 /// A small configuration that keeps each serve-bench run around a
 /// second while still exercising the full enrollment/traffic path.
@@ -64,6 +150,7 @@ proptest! {
         plan in prop::sample::select(vec!["off", "storm@0.5"]),
         seed in 0u64..100,
     ) {
+        let _guard = lock();
         let t1 = serve_bench_at(plan, seed, 1);
         let t2 = serve_bench_at(plan, seed, 2);
         let t8 = serve_bench_at(plan, seed, 8);
@@ -84,6 +171,7 @@ proptest! {
         plan in prop::sample::select(vec!["off", "storm@0.5"]),
         seed in 0u64..100,
     ) {
+        let _guard = lock();
         for threads in [1usize, 2, 8] {
             audit::set_enabled(false);
             let off = serve_bench_at(plan, seed, threads);
@@ -114,6 +202,7 @@ proptest! {
         seed in 0u64..50,
         threads in prop::sample::select(vec![1usize, 2, 8]),
     ) {
+        let _guard = lock();
         set_thread_override(threads);
         let params = PufAreaParams {
             ro_cell_ge: 3.0,
@@ -211,6 +300,7 @@ fn synthetic(verdict: Verdict, attempt_timeouts: u32) -> RequestOutcome {
 /// always passes through `Degraded` at 1/8.)
 #[test]
 fn health_machine_hysteresis_transition_table() {
+    let _guard = lock();
     let policy = ServicePolicy {
         health_window: 8,
         ..ServicePolicy::default()
@@ -285,6 +375,7 @@ fn health_machine_hysteresis_transition_table() {
 /// same accepted/rejected/corrupt/quarantine tallies on every rerun.
 #[test]
 fn store_corruption_recovery_tallies_are_deterministic() {
+    let _guard = lock();
     let cfg = tiny_cfg(7);
     let params = PufAreaParams {
         ro_cell_ge: 3.0,
@@ -320,6 +411,7 @@ fn store_corruption_recovery_tallies_are_deterministic() {
 /// refresh, and then authenticates again.
 #[test]
 fn quarantined_device_is_reenrolled_and_readmitted() {
+    let _guard = lock();
     let params = PufAreaParams {
         ro_cell_ge: 3.0,
         readout_fixed_ge: 120.0,
@@ -363,7 +455,7 @@ fn quarantined_device_is_reenrolled_and_readmitted() {
 
     // Maintenance: the continuity-gated helper refresh re-anchors the
     // enrollment and reseals the record.
-    let readmitted = service.reenroll(
+    let outcome = service.reenroll_probe(
         &mut chip,
         0,
         0,
@@ -374,6 +466,7 @@ fn quarantined_device_is_reenrolled_and_readmitted() {
         Some(&inj),
         1 << 20,
     );
+    let readmitted = service.reenroll_admit(outcome);
     assert!(readmitted, "refresh must recover an undamaged device");
     assert!(!service.is_quarantined(0));
     assert!(matches!(service.store().read(0), ReadOutcome::Intact(_)));
@@ -386,4 +479,169 @@ fn quarantined_device_is_reenrolled_and_readmitted() {
         outcome.verdict
     );
     assert!(service.tallies().reenrolled >= 1);
+}
+
+/// Maintenance fans its reads and decodes out across workers and folds
+/// its writes in ascending device id, so the whole audit trail of a
+/// storm trial — request chains, re-enrollment verdicts, repair
+/// generations, scrub findings — is byte-identical at 1, 2 and 8 worker
+/// threads. The trial is pinned to one whose maintenance re-enrolls
+/// several devices in one pass with both verdicts, so the parallel path
+/// is really exercised.
+#[test]
+fn maintenance_audit_trail_is_byte_identical_across_thread_counts() {
+    let _guard = lock();
+    let _cleanup = Cleanup;
+    let mut cfg = SimConfig::quick();
+    cfg.key_bits = 32;
+    cfg.seed = 7;
+    let generator = tiny_generator();
+    let inj = FaultInjector::new(FaultPlan::storm(), cfg.seed);
+    let plan = BenchPlan {
+        genuine_rounds: 4,
+        impostor_rounds: 1,
+    };
+    let trial_at = |threads| {
+        set_thread_override(threads);
+        let mut ws = FleetWorkspace::new(&cfg, &generator, RoStyle::AgingResistant, 8);
+        capture_audit(|| ws.run_trial(&cfg, &generator, Some(&inj), 10.0, &plan, "maintenance"))
+    };
+
+    let (stats, trail) = trial_at(1);
+    let passes = maintenance_passes(&trail);
+    let mixed = passes.iter().any(|pass| {
+        let has = |verdict| pass.iter().any(|(_, outcome)| outcome == verdict);
+        pass.len() >= 2 && has("readmitted") && has("gate_failed")
+    });
+    assert!(
+        mixed,
+        "the pinned trial must hold a pass with >= 2 due devices, readmitted and gate_failed: {passes:?}"
+    );
+    for pass in &passes {
+        assert!(
+            pass.windows(2).all(|w| w[0].0 < w[1].0),
+            "re-enrollments are admitted in ascending device id: {pass:?}"
+        );
+    }
+    for threads in [2, 8] {
+        let (other_stats, other_trail) = trial_at(threads);
+        assert_eq!(other_stats, stats, "bench stats at {threads} threads");
+        assert_eq!(other_trail, trail, "audit trail at {threads} threads");
+    }
+}
+
+/// A read-only service refuses re-enrollment writes without spending a
+/// read on them: in a maintenance pass every due device ends
+/// `refused_read_only`, no chip is measured (every chip, its
+/// measurement nonce included, is exactly as it was), and the
+/// continuity gate never runs.
+#[test]
+fn read_only_maintenance_refuses_every_due_device_without_reading() {
+    let _guard = lock();
+    let _cleanup = Cleanup;
+    let generator = tiny_generator();
+    let (design, env, key_pairs) = tiny_design(&generator);
+    let policy = ServicePolicy {
+        health_window: 8,
+        ..ServicePolicy::default()
+    };
+    let n = 4u64;
+    let mut service = AuthService::new(policy, n as usize, 2, 42);
+    let mut fleet: Vec<Chip> = (0..n).map(|id| Chip::fabricate(&design, id)).collect();
+    for (id, chip) in (0..n).zip(&fleet) {
+        let golden = chip.golden_response(&design, &env, &key_pairs);
+        let mut rng = design.seed_domain().child("test-enroll").rng(id);
+        let (key, helper) = generator.enroll(&golden, &mut rng);
+        service.enroll(StoredRecord::new(id, key_pairs.clone(), golden, helper, key));
+    }
+    // Four corrupt reads in four events: every device is quarantined and
+    // the service is read-only, so the traffic round skips the whole
+    // fleet and the maintenance pass finds all of it due.
+    for id in 0..n {
+        let corrupt = RequestOutcome {
+            target_id: id,
+            ..synthetic(Verdict::CorruptRecord, 0)
+        };
+        service.admit(&corrupt, true);
+    }
+    assert_eq!(service.state(), HealthState::ReadOnly);
+    assert_eq!(service.quarantined_ids(), (0..n).collect::<Vec<_>>());
+
+    let untouched = fleet.clone();
+    let ctx = FleetContext {
+        design: &design,
+        env: &env,
+        generator: &generator,
+        key_pairs: &key_pairs,
+    };
+    let plan = BenchPlan {
+        genuine_rounds: 1,
+        impostor_rounds: 0,
+    };
+    set_thread_override(2);
+    let ((stats, counters), trail) = capture_audit(|| {
+        let stats = run_bench(&mut service, &mut fleet, &ctx, &plan, None);
+        (stats, aro_obs::snapshot())
+    });
+
+    let expected: Vec<(u64, String)> =
+        (0..n).map(|id| (id, "refused_read_only".to_string())).collect();
+    assert_eq!(maintenance_passes(&trail), vec![expected]);
+    assert_eq!(stats.tallies.reenroll_refusals, n);
+    assert_eq!(stats.tallies.reenrolled + stats.tallies.reenroll_failures, 0);
+    for name in [
+        "ecc.refresh_failures",
+        "ecc.helper_refreshes",
+        "ecc.key_reconstructions_soft",
+    ] {
+        assert_eq!(counters.counter(name), 0, "{name} moved without a read");
+    }
+    assert!(fleet == untouched, "a refused re-enrollment must not measure any chip");
+}
+
+/// A replica group with every copy wiped has nothing to re-enroll
+/// against: the maintenance visit ends `missing` without reading the
+/// chip or running the continuity gate, and writes nothing.
+#[test]
+fn wiped_replica_group_is_missing_without_a_read() {
+    let _guard = lock();
+    let _cleanup = Cleanup;
+    let generator = tiny_generator();
+    let (design, env, key_pairs) = tiny_design(&generator);
+    let policy = ServicePolicy {
+        replicas: 2,
+        ..ServicePolicy::default()
+    };
+    let mut service = AuthService::new(policy, 1, 2, 42);
+    let mut chip = Chip::fabricate(&design, 0);
+    let golden = chip.golden_response(&design, &env, &key_pairs);
+    let mut rng = design.seed_domain().child("test-enroll").rng(0);
+    let (key, helper) = generator.enroll(&golden, &mut rng);
+    service.enroll(StoredRecord::new(0, key_pairs.clone(), golden, helper, key));
+    let wipe_all = FaultInjector::new(
+        FaultPlan {
+            replica_wipe_rate: 1.0,
+            ..FaultPlan::off()
+        },
+        42,
+    );
+    service.store_mut().erode(&wipe_all, 0, 1.0);
+    assert_eq!(service.store().replica_summary(0).wiped, 2);
+    assert!(matches!(service.store().read(0), ReadOutcome::Missing));
+
+    let untouched = chip.clone();
+    let ((admitted, counters), trail) = capture_audit(|| {
+        let outcome =
+            service.reenroll_probe(&mut chip, 0, 0, &key_pairs, &generator, &design, &env, None, 0);
+        assert_eq!(outcome.verdict, ReenrollVerdict::Missing);
+        assert_eq!(outcome.attempts, 0);
+        (service.reenroll_admit(outcome), aro_obs::snapshot())
+    });
+
+    assert!(!admitted);
+    assert_eq!(maintenance_passes(&trail), vec![vec![(0, "missing".to_string())]]);
+    assert_eq!(counters.counter("ecc.key_reconstructions_soft"), 0);
+    assert_eq!(counters.counter("serve.store_repairs"), 0);
+    assert!(chip == untouched, "a missing record must not cost a chip read");
+    assert!(matches!(service.store().read(0), ReadOutcome::Missing));
 }
