@@ -4,7 +4,8 @@
 //! the verify read path — a sealed, replicated store read of a
 //! conventional-cell-sized record and the bit kernels its seal and key
 //! derivation run on — and the re-enrollment continuity gate's
-//! erasure-aware soft reconstruction at the conventional cell's width.
+//! erasure-aware soft reconstruction at the conventional cell's width —
+//! and the serve fleet's snapshotted aging pass, recording and replaying.
 //!
 //! Compare against `BENCH_baseline.json` at the workspace root with
 //! `scripts/bench_check.sh`; the end-to-end numbers live in
@@ -17,6 +18,8 @@ use aro_ecc::{BchCode, Code, Erasures, FuzzyExtractor, RepetitionCode, SoftBit, 
 use aro_metrics::bits::BitString;
 use aro_puf::{Chip, MissionProfile, Population, PufDesign};
 use aro_serve::store::{ShardedStore, StoredRecord};
+use aro_sim::parallel::par_build;
+use aro_sim::popcache::{self, age_fleet_snapshotted, AgeCursor};
 use aro_sim::runner::measure_flip_timeline;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -137,9 +140,41 @@ fn bench_continuity_gate(c: &mut Criterion) {
     });
 }
 
+fn bench_fleet_aging(c: &mut Criterion) {
+    // The serve fleet's ARO cell at quick scale under the full storm:
+    // 8 chips of 5,610 rings, aged ten years in one step, rewound with
+    // `reset_to_fabricated` before every pass as a serve trial does.
+    let design = PufDesign::builder(RoStyle::AgingResistant)
+        .n_ros(5_610)
+        .seed(0xe18)
+        .build();
+    let profile = MissionProfile::typical(design.tech());
+    let mut chips: Vec<Chip> = par_build(8, |id| Chip::fabricate(&design, id as u64));
+    let age_pass = |chips: &mut [Chip]| {
+        for chip in chips.iter_mut() {
+            chip.reset_to_fabricated();
+        }
+        let mut cursors = vec![AgeCursor::new(); chips.len()];
+        age_fleet_snapshotted(chips, &design, &profile, 10.0 * YEAR, &mut cursors);
+    };
+
+    c.bench_function("age_fleet_snapshotted_record", |b| {
+        // A fresh store every pass: all 8 chips miss and record.
+        b.iter(|| popcache::scoped(|| age_pass(black_box(&mut chips))))
+    });
+
+    popcache::scoped(|| {
+        age_pass(&mut chips);
+        c.bench_function("age_fleet_snapshotted_replay", |b| {
+            // The store holds the pass: all 8 chips hit and replay.
+            b.iter(|| age_pass(black_box(&mut chips)))
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench, bench_verify_path, bench_continuity_gate
+    targets = bench, bench_verify_path, bench_continuity_gate, bench_fleet_aging
 }
 criterion_main!(benches);

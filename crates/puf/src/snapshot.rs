@@ -34,7 +34,7 @@
 //! healthy-ring work and recomputes precisely the rings the plans
 //! disagree on, staying byte-identical to a cold run under its own plan.
 
-use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use aro_circuit::ring::{ActiveStressBatch, IdleStressBatch};
 use aro_device::aging::WearLevel;
@@ -213,8 +213,10 @@ pub struct AgedStepSnapshot {
     /// Frequency-kernel results harvested from a chip that already
     /// finished this step's post-step reads (lazily filled, see
     /// [`AgedStepSnapshot::harvest_kernel_hints`]). Replays preload these
-    /// so the first read after the step skips its kernel rebuild.
-    hints: RefCell<Option<KernelHints>>,
+    /// so the first read after the step skips its kernel rebuild. Set
+    /// once; a `OnceLock` keeps the snapshot `Send + Sync`, so fleet
+    /// workers can replay one shared snapshot.
+    hints: OnceLock<KernelHints>,
 }
 
 /// Harvested per-ring kernel results, all derived under one environment.
@@ -234,11 +236,9 @@ impl AgedStepSnapshot {
             + (self.tape.active_spans.len() + self.tape.idle_spans.len()) * 8
             + self.tape.agg_counters.len() * 24
             + self.tape.agg_sketches.len() * 24;
-        let hints = self
-            .hints
-            .borrow()
-            .as_ref()
-            .map_or(0, |h| h.results.len() * std::mem::size_of::<Option<(f64, f64)>>());
+        let hints = self.hints.get().map_or(0, |h| {
+            h.results.len() * std::mem::size_of::<Option<(f64, f64)>>()
+        });
         let wear = match &self.wear {
             WearStore::Uniform { bti, hci } => (bti.len() + hci.len()) * 8,
             WearStore::Dense(levels) => levels.len() * std::mem::size_of::<WearLevel>(),
@@ -300,7 +300,7 @@ pub fn age_step_recorded(
         devices: chip.ros().first().map_or(0, |ro| 2 * ro.n_stages()),
         covered,
         epoch_after,
-        hints: RefCell::new(None),
+        hints: OnceLock::new(),
     }
 }
 
@@ -397,8 +397,7 @@ impl AgedStepSnapshot {
     /// of identical silicon. Idempotent: once filled, later calls return
     /// immediately. No-op if the chip holds no harvestable kernels.
     pub fn harvest_kernel_hints(&self, chip: &Chip) {
-        let mut slot = self.hints.borrow_mut();
-        if slot.is_some() {
+        if self.hints.get().is_some() {
             return;
         }
         let mut env: Option<Environment> = None;
@@ -418,7 +417,9 @@ impl AgedStepSnapshot {
             results[i] = Some((period_s, freq_hz));
         }
         if let Some(env) = env {
-            *slot = Some(KernelHints { env, results });
+            // Another thread may have filled the slot since the check
+            // above; the first fill wins, as it does sequentially.
+            let _ = self.hints.set(KernelHints { env, results });
         }
     }
 
@@ -431,8 +432,7 @@ impl AgedStepSnapshot {
     /// to every output and telemetry stream (see the phantom-kernel
     /// bookkeeping in `aro_circuit::kernel`).
     fn preload_kernel_hints(&self, chip: &Chip, design: &PufDesign) {
-        let slot = self.hints.borrow();
-        let Some(hints) = slot.as_ref() else {
+        let Some(hints) = self.hints.get() else {
             return;
         };
         let process = *chip.process();

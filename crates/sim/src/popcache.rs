@@ -32,7 +32,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
@@ -133,7 +133,9 @@ struct SnapshotEntry {
     design: PufDesign,
     chip_id: u64,
     steps: Vec<MissionStepKey>,
-    snapshot: Rc<AgedStepSnapshot>,
+    /// `None` only inside one [`age_fleet_snapshotted`] call: the entry
+    /// holds its LRU slot while a worker records the step.
+    snapshot: Option<Arc<AgedStepSnapshot>>,
 }
 
 thread_local! {
@@ -319,7 +321,8 @@ pub fn set_snapshots_enabled(on: Option<bool>) {
 /// records the step, every later trial replays it. Outside a [`scoped`]
 /// region — or with snapshots disabled, see [`snapshots_enabled`] — this
 /// is exactly `age_chip` (and the cursor still advances, so code paths
-/// shared with un-scoped tests behave identically).
+/// shared with un-scoped tests behave identically). The one-chip case of
+/// [`age_fleet_snapshotted`].
 ///
 /// Byte-identity contract: responses, wear state, and telemetry match a
 /// cold `age_chip` walk bit for bit, under any fault plan — see
@@ -331,52 +334,153 @@ pub fn age_chip_snapshotted(
     duration_s: f64,
     cursor: &mut AgeCursor,
 ) {
+    age_fleet_snapshotted(
+        std::slice::from_mut(chip),
+        design,
+        profile,
+        duration_s,
+        std::slice::from_mut(cursor),
+    );
+}
+
+/// How one chip of a fleet pass ages.
+enum FleetAging {
+    /// No live store: plain [`MissionProfile::age_chip`].
+    Cold,
+    /// Replay a stored snapshot.
+    Replay(Arc<AgedStepSnapshot>),
+    /// Record the step into the entry reserved for it.
+    Record,
+}
+
+/// Ages every chip of a fleet by one step through the snapshot store,
+/// fanning the per-chip work out over the `aro-par` workers. Chip `i`
+/// walks with `cursors[i]`.
+///
+/// The store is only touched on the calling thread:
+///
+/// 1. in chip order, offer kernel hints, advance the cursor and look the
+///    step up — a hit refreshes its LRU slot, a miss reserves one (with
+///    the eviction a sequential insert would make);
+/// 2. on the workers, replay the hits, record the misses (or age cold
+///    with no live store);
+/// 3. fill the reserved slots with the recordings.
+///
+/// A chip's lookup never depends on another chip's aging (keys carry the
+/// chip id), so the store's LRU order, the `sim.snapshot_*` counters and
+/// every output byte match a chip-by-chip [`age_chip_snapshotted`] walk.
+/// Worker telemetry merges in worker-index order, as every `aro-par`
+/// fan-out does. (Two chips of one pass with the same id and step
+/// prefix both record, where the sequential walk would replay the
+/// second: same bytes, different hit/miss counters.)
+///
+/// # Panics
+/// Panics if `chips` and `cursors` differ in length.
+pub fn age_fleet_snapshotted(
+    chips: &mut [Chip],
+    design: &PufDesign,
+    profile: &MissionProfile,
+    duration_s: f64,
+    cursors: &mut [AgeCursor],
+) {
+    assert_eq!(chips.len(), cursors.len(), "one cursor per chip");
     let live = is_active() && snapshots_enabled();
-    if live && !cursor.steps.is_empty() {
-        // The reads since the previous step warmed this chip's kernels;
-        // offer them to that step's snapshot so replays can preload.
-        offer_kernel_hints(chip, design, &cursor.steps);
-    }
-    cursor.steps.push(profile.step_key(duration_s));
-    if !live {
-        profile.age_chip(chip, design, duration_s);
-        return;
-    }
-    let chip_id = chip.id();
-    let hit = CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        let scope = slot.as_mut()?;
-        let index = scope.snapshots.iter().position(|entry| {
-            entry.chip_id == chip_id && entry.steps == cursor.steps && entry.design == *design
-        })?;
-        // LRU: refresh the entry's position before handing out the Rc.
-        let entry = scope.snapshots.remove(index);
-        let snapshot = Rc::clone(&entry.snapshot);
-        scope.snapshots.push(entry);
-        Some(snapshot)
-    });
-    // Counters stay outside the recorded tape: the tap only runs inside
-    // `age_step_recorded`, after the miss has been counted.
-    if let Some(snapshot) = hit {
-        aro_obs::counter("sim.snapshot_hits", 1);
-        age_step_replayed(chip, design, profile, duration_s, &snapshot);
-        return;
-    }
-    aro_obs::counter("sim.snapshot_misses", 1);
-    let snapshot = age_step_recorded(chip, design, profile, duration_s);
-    CACHE.with(|cache| {
-        if let Some(scope) = cache.borrow_mut().as_mut() {
-            if scope.snapshots.len() >= SNAPSHOT_CAPACITY {
-                scope.snapshots.remove(0);
+    let step = profile.step_key(duration_s);
+    let plans: Vec<FleetAging> = chips
+        .iter()
+        .zip(cursors.iter_mut())
+        .map(|(chip, cursor)| {
+            if live && !cursor.steps.is_empty() {
+                // The reads since the previous step warmed this chip's
+                // kernels; offer them to that step's snapshot so replays
+                // can preload.
+                offer_kernel_hints(chip, design, &cursor.steps);
             }
-            scope.snapshots.push(SnapshotEntry {
-                design: design.clone(),
-                chip_id,
-                steps: cursor.steps.clone(),
-                snapshot: Rc::new(snapshot),
-            });
+            cursor.steps.push(step);
+            if !live {
+                return FleetAging::Cold;
+            }
+            // Counters stay outside the recorded tape: the tap only runs
+            // inside `age_step_recorded`, on the worker.
+            if let Some(snapshot) = claim_snapshot(design, chip.id(), &cursor.steps) {
+                aro_obs::counter("sim.snapshot_hits", 1);
+                FleetAging::Replay(snapshot)
+            } else {
+                aro_obs::counter("sim.snapshot_misses", 1);
+                FleetAging::Record
+            }
+        })
+        .collect();
+    let mut work: Vec<(&mut Chip, FleetAging)> = chips.iter_mut().zip(plans).collect();
+    let recorded = aro_par::par_map_mut(&mut work, |_, (chip, aging)| match aging {
+        FleetAging::Cold => {
+            profile.age_chip(chip, design, duration_s);
+            None
+        }
+        FleetAging::Replay(snapshot) => {
+            age_step_replayed(chip, design, profile, duration_s, snapshot);
+            None
+        }
+        FleetAging::Record => Some(age_step_recorded(chip, design, profile, duration_s)),
+    });
+    drop(work);
+    CACHE.with(|cache| {
+        let mut slot = cache.borrow_mut();
+        let Some(scope) = slot.as_mut() else {
+            return;
+        };
+        for ((chip, cursor), snapshot) in chips.iter().zip(cursors.iter()).zip(recorded) {
+            let Some(snapshot) = snapshot else {
+                continue;
+            };
+            let chip_id = chip.id();
+            // A reservation evicted within this pass is dropped, as a
+            // sequential walk would have inserted and then evicted it.
+            if let Some(entry) = scope.snapshots.iter_mut().rev().find(|entry| {
+                entry.snapshot.is_none()
+                    && entry.chip_id == chip_id
+                    && entry.steps == cursor.steps
+                    && entry.design == *design
+            }) {
+                entry.snapshot = Some(Arc::new(snapshot));
+            }
         }
     });
+}
+
+/// Looks up the snapshot for *(design, chip, steps)*. A found entry
+/// moves to the LRU's young end and its snapshot is returned (`None`
+/// for a reservation still being recorded); a miss reserves an empty
+/// entry there, evicting the oldest one at capacity, exactly where a
+/// sequential insert would land.
+fn claim_snapshot(
+    design: &PufDesign,
+    chip_id: u64,
+    steps: &[MissionStepKey],
+) -> Option<Arc<AgedStepSnapshot>> {
+    CACHE.with(|cache| {
+        let mut slot = cache.borrow_mut();
+        let scope = slot.as_mut()?;
+        let found = scope.snapshots.iter().position(|entry| {
+            entry.chip_id == chip_id && entry.steps == steps && entry.design == *design
+        });
+        if let Some(index) = found {
+            let entry = scope.snapshots.remove(index);
+            let snapshot = entry.snapshot.clone();
+            scope.snapshots.push(entry);
+            return snapshot;
+        }
+        if scope.snapshots.len() >= SNAPSHOT_CAPACITY {
+            scope.snapshots.remove(0);
+        }
+        scope.snapshots.push(SnapshotEntry {
+            design: design.clone(),
+            chip_id,
+            steps: steps.to_vec(),
+            snapshot: None,
+        });
+        None
+    })
 }
 
 /// Offers a chip's warm kernels to the snapshot stored for `steps`
@@ -392,7 +496,7 @@ fn offer_kernel_hints(chip: &Chip, design: &PufDesign, steps: &[MissionStepKey])
             .find(|entry| {
                 entry.chip_id == chip_id && entry.steps == steps && entry.design == *design
             })
-            .map(|entry| Rc::clone(&entry.snapshot))
+            .and_then(|entry| entry.snapshot.clone())
     });
     if let Some(snapshot) = snapshot {
         snapshot.harvest_kernel_hints(chip);
@@ -771,6 +875,96 @@ mod tests {
             assert_eq!(replayer, cold);
         });
         assert_eq!(retained_snapshots(), 0, "store must die with the scope");
+    }
+
+    /// The store's entries in LRU order (oldest first), as
+    /// `(chip id, step-prefix length)`.
+    fn snapshot_lru() -> Vec<(u64, usize)> {
+        CACHE.with(|cache| {
+            cache.borrow().as_ref().map_or_else(Vec::new, |scope| {
+                scope
+                    .snapshots
+                    .iter()
+                    .map(|entry| (entry.chip_id, entry.steps.len()))
+                    .collect()
+            })
+        })
+    }
+
+    #[test]
+    fn fleet_aging_matches_the_per_chip_walk_at_every_thread_count() {
+        use aro_device::units::YEAR;
+        let d = design(RoStyle::AgingResistant, 13);
+        let profile = MissionProfile::typical(d.tech());
+        let fresh: Vec<Chip> = (0..8).map(|id| Chip::fabricate(&d, id)).collect();
+        let mut cold = fresh.clone();
+        for chip in &mut cold {
+            profile.age_chip(chip, &d, 2.5 * YEAR);
+        }
+        // The pre-recorded chips make the pass over 0..7 mix replays with
+        // recordings; the odd set interleaves them, so a recording's LRU
+        // slot must be reserved at lookup time, not taken at insert
+        // time. The later lookup replays chip 6's recording from the
+        // pass onto fresh silicon, refreshing its LRU slot.
+        let walk_one = |chip: &mut Chip, cursor: &mut AgeCursor| {
+            age_chip_snapshotted(chip, &d, &profile, 2.5 * YEAR, cursor);
+        };
+        for prerecorded in [[0usize, 1, 2, 3], [1, 3, 5, 7]] {
+            let run = |fleet: bool, snapshots: bool| {
+                set_snapshots_enabled(Some(snapshots));
+                aro_obs::reset();
+                aro_obs::set_enabled(true);
+                let out = scoped(|| {
+                    for &id in &prerecorded {
+                        walk_one(&mut fresh[id].clone(), &mut AgeCursor::new());
+                    }
+                    let mut chips = fresh.clone();
+                    let mut cursors = vec![AgeCursor::new(); chips.len()];
+                    if fleet {
+                        age_fleet_snapshotted(&mut chips, &d, &profile, 2.5 * YEAR, &mut cursors);
+                    } else {
+                        for (chip, cursor) in chips.iter_mut().zip(&mut cursors) {
+                            walk_one(chip, cursor);
+                        }
+                    }
+                    let retained = retained_snapshots();
+                    let mut later = fresh[6].clone();
+                    walk_one(&mut later, &mut AgeCursor::new());
+                    assert_eq!(later, chips[6]);
+                    (chips, retained, snapshot_lru())
+                });
+                aro_obs::set_enabled(false);
+                let registry = aro_obs::take_scratch();
+                set_snapshots_enabled(None);
+                (out, registry.dump())
+            };
+            let reference = run(false, true);
+            assert_eq!(
+                reference.0 .0, cold,
+                "the per-chip walk must equal cold aging"
+            );
+            assert_eq!(reference.0 .1, 8);
+            assert!(
+                reference.1.contains("sim.snapshot_hits"),
+                "no replay was exercised"
+            );
+            for threads in [1, 2, 8] {
+                aro_par::set_thread_override(threads);
+                let fleet = run(true, true);
+                let off = run(true, false);
+                aro_par::set_thread_override(0);
+                // Chips, retained entries, LRU order, and every counter
+                // and sketch (the snapshot hit/miss counters included).
+                assert_eq!(
+                    fleet, reference,
+                    "fleet pass diverged at {threads} threads ({prerecorded:?} pre-recorded)"
+                );
+                assert_eq!(
+                    off.0 .0, cold,
+                    "snapshots off must age cold at {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use aro_serve::{
 };
 
 use crate::config::SimConfig;
-use crate::popcache::{age_chip_snapshotted, AgeCursor};
+use crate::popcache::{age_fleet_snapshotted, AgeCursor};
 use crate::runner::pct;
 
 /// CRP response width served per authentication request. 64 bits keeps
@@ -97,22 +97,28 @@ impl FleetWorkspace {
         let env = Environment::nominal(design.tech());
         let profile = MissionProfile::typical(design.tech());
         let key_pairs = PairingStrategy::Neighbor.pairs(n_ros);
-        let chips: Vec<Chip> = (0..fleet as u64)
-            .map(|id| Chip::fabricate(&design, id))
-            .collect();
+        // A chip's silicon comes from its own id-keyed seed stream and a
+        // golden read is noiseless, so both per-chip passes fan out over
+        // the workers and stay bit-identical to a sequential build.
+        let mut chips: Vec<Chip> = {
+            let _span = aro_obs::span("serve.workspace.fabricate");
+            aro_par::par_build(fleet, |id| Chip::fabricate(&design, id as u64))
+        };
         let crp_bits = CRP_BITS.min(n_ros / 2);
         let challenge_pairs: Vec<Vec<(usize, usize)>> = (0..fleet as u64)
             .map(|id| Challenge(cfg.seed ^ (0x5e7e << 16) ^ id).pairs(n_ros, crp_bits))
             .collect();
-        let key_goldens: Vec<BitString> = chips
-            .iter()
-            .map(|chip| chip.golden_response(&design, &env, &key_pairs))
-            .collect();
-        let crp_goldens: Vec<BitString> = chips
-            .iter()
-            .zip(&challenge_pairs)
-            .map(|(chip, pairs)| chip.golden_response(&design, &env, pairs))
-            .collect();
+        let (key_goldens, crp_goldens): (Vec<BitString>, Vec<BitString>) = {
+            let _span = aro_obs::span("serve.workspace.golden");
+            aro_par::par_map_mut(&mut chips, |slot, chip| {
+                (
+                    chip.golden_response(&design, &env, &key_pairs),
+                    chip.golden_response(&design, &env, &challenge_pairs[slot]),
+                )
+            })
+            .into_iter()
+            .unzip()
+        };
         Self {
             style,
             design,
@@ -195,13 +201,18 @@ impl FleetWorkspace {
             }
         }
         // Aging walks the snapshot store: trials at the same age replay
-        // one cached wear prefix instead of re-running the physics.
+        // one cached wear prefix instead of re-running the physics, and
+        // the per-chip replays and recordings run on the workers.
         let mut cursors: Vec<AgeCursor> = (0..self.chips.len()).map(|_| AgeCursor::new()).collect();
         if age_years > 0.0 {
             let _age_span = aro_obs::span("serve.age_fleet");
-            for (chip, cursor) in self.chips.iter_mut().zip(&mut cursors) {
-                age_chip_snapshotted(chip, &self.design, &self.profile, age_years * YEAR, cursor);
-            }
+            age_fleet_snapshotted(
+                &mut self.chips,
+                &self.design,
+                &self.profile,
+                age_years * YEAR,
+                &mut cursors,
+            );
         }
         let ctx = FleetContext {
             design: &self.design,

@@ -145,22 +145,37 @@ PY
 echo "health smoke: deterministic tables + valid Chrome trace"
 
 # Serve smoke: the fleet authentication service must survive a
-# quarter-rate storm (exit 0, or 3 if it honestly ends degraded), and
-# the serve-bench report — simulated latencies included — must be
-# byte-identical at 1 and 4 worker threads under a half storm. See
-# docs/ROBUSTNESS.md ("Fleet authentication service").
-echo "==> serve smoke (exp18 under storm@0.25 + serve-bench thread determinism)"
+# quarter-rate storm (exit 0, or 3 if it honestly ends degraded), the
+# run must repeat byte for byte with the snapshot store killed (the
+# fleet ages through the store on the workers, see docs/PERFORMANCE.md
+# "Fleet set-up and aging run across workers"), and the serve-bench
+# report — simulated latencies included — must be byte-identical at 1
+# and 4 worker threads under a half storm. See docs/ROBUSTNESS.md
+# ("Fleet authentication service").
+echo "==> serve smoke (exp18 under storm@0.25, snapshots on vs off + serve-bench thread determinism)"
+serve_dir="$ledger_dir/serve"
+mkdir -p "$serve_dir"
 set +e
-./target/release/repro --quick --quiet --faults storm@0.25 exp18
+./target/release/repro --quick --faults storm@0.25 exp18 > "$serve_dir/exp18_snapshotted.md"
 serve=$?
+ARO_SNAPSHOTS=off ./target/release/repro --quick --faults storm@0.25 exp18 \
+    > "$serve_dir/exp18_cold.md"
+serve_cold=$?
 set -e
 if [[ "$serve" -ne 0 && "$serve" -ne 3 ]]; then
     echo "verify: serve smoke exited $serve (expected 0 or 3)" >&2
     exit 1
 fi
-echo "serve smoke exit: $serve"
-serve_dir="$ledger_dir/serve"
-mkdir -p "$serve_dir"
+if [[ "$serve" -ne "$serve_cold" ]]; then
+    echo "verify: exp18 exit codes differ with snapshots on/off: $serve / $serve_cold" >&2
+    exit 1
+fi
+if ! cmp -s "$serve_dir/exp18_snapshotted.md" "$serve_dir/exp18_cold.md"; then
+    echo "verify: snapshotted exp18 differs from cold-aged exp18" >&2
+    diff "$serve_dir/exp18_snapshotted.md" "$serve_dir/exp18_cold.md" | head -20 >&2
+    exit 1
+fi
+echo "serve smoke exit: $serve; snapshotted exp18 byte-identical to cold run"
 set +e
 ./target/release/repro --quick --faults storm@0.5 --threads 1 serve-bench \
     > "$serve_dir/bench_1.md"

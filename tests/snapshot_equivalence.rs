@@ -13,6 +13,7 @@ use aro_puf_repro::device::environment::Environment;
 use aro_puf_repro::device::units::YEAR;
 use aro_puf_repro::faults::{FaultInjector, FaultPlan};
 use aro_puf_repro::ledger::record::LedgerRecord;
+use aro_puf_repro::puf::snapshot::AgedStepSnapshot;
 use aro_puf_repro::puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 use aro_puf_repro::sim::experiments::run_by_id;
 use aro_puf_repro::sim::fingerprint::experiment_fingerprint;
@@ -20,6 +21,12 @@ use aro_puf_repro::sim::parallel::set_thread_override;
 use aro_puf_repro::sim::popcache::{self, age_chip_snapshotted, AgeCursor};
 use aro_puf_repro::sim::{faultctx, SimConfig};
 use proptest::prelude::*;
+
+/// Fleet workers replay one shared snapshot, so it must cross threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<AgedStepSnapshot>();
+};
 
 /// Obs enablement, the thread override, and the popcache/snapshot
 /// thread-local switches are process-global; run these tests one at a
@@ -45,9 +52,11 @@ impl Drop for Cleanup {
 /// to differ between snapshot modes — they observe the cache itself, not
 /// the simulation.
 fn dump_sans_snapshot_counters() -> String {
-    aro_obs::take_scratch()
-        .dump()
-        .lines()
+    strip_snapshot_counters(&aro_obs::take_scratch().dump())
+}
+
+fn strip_snapshot_counters(dump: &str) -> String {
+    dump.lines()
         .filter(|line| !line.contains("sim.snapshot_"))
         .map(|line| format!("{line}\n"))
         .collect()
@@ -73,6 +82,18 @@ fn experiment_run(
     threads: usize,
     snapshots: bool,
 ) -> (String, String) {
+    let (report, registry) = experiment_run_with_registry(id, cfg, plan, threads, snapshots);
+    (report, strip_snapshot_counters(&registry.dump()))
+}
+
+/// [`experiment_run`] with the whole registry, snapshot counters kept.
+fn experiment_run_with_registry(
+    id: &str,
+    cfg: &SimConfig,
+    plan: FaultPlan,
+    threads: usize,
+    snapshots: bool,
+) -> (String, aro_obs::Registry) {
     set_thread_override(threads);
     popcache::set_snapshots_enabled(Some(snapshots));
     aro_obs::reset();
@@ -82,44 +103,68 @@ fn experiment_run(
         popcache::scoped(|| run_by_id(id, cfg).expect("experiment exists"))
     });
     aro_obs::set_enabled(false);
-    let dump = dump_sans_snapshot_counters();
+    let registry = aro_obs::take_scratch();
     set_thread_override(0);
     popcache::set_snapshots_enabled(None);
-    (format!("{report}"), dump)
+    (format!("{report}"), registry)
 }
 
-/// The tentpole contract on the real lifecycle sweep: EXP-16 through the
-/// snapshot store is byte-identical to EXP-16 aging every trial from
-/// scratch — report and health sketches both — at 1, 2, and 8 worker
-/// threads, under a fault-free plan and under a half-intensity storm.
-#[test]
-fn exp16_snapshotted_matches_cold_at_every_thread_count_and_plan() {
-    let _guard = lock();
-    let _cleanup = Cleanup;
+/// Runs experiment `id` on the small config with the snapshot store on
+/// and off, at 1, 2, and 8 worker threads, under a fault-free plan and
+/// under a half-intensity storm: reports and registry dumps (snapshot
+/// counters stripped) must match across modes and thread counts, and the
+/// snapshotted runs must replay something, or the replay path went
+/// untested.
+fn assert_snapshot_modes_and_thread_counts_agree(id: &str) {
     let cfg = small_cfg();
-
     for plan_text in ["off", "storm@0.5"] {
         let plan = FaultPlan::parse(plan_text).unwrap();
         let mut reference: Option<(String, String)> = None;
         for threads in [1usize, 2, 8] {
-            let cold = experiment_run("exp16", &cfg, plan, threads, false);
-            let warm = experiment_run("exp16", &cfg, plan, threads, true);
+            let cold = experiment_run(id, &cfg, plan, threads, false);
+            let (report, registry) = experiment_run_with_registry(id, &cfg, plan, threads, true);
+            assert!(
+                registry.counter("sim.snapshot_hits") > 0,
+                "snapshotted {id} replayed nothing ({plan_text}, {threads} threads)"
+            );
+            let warm = (report, strip_snapshot_counters(&registry.dump()));
             assert_eq!(
                 warm.0, cold.0,
-                "report differs between snapshot modes ({plan_text}, {threads} threads)"
+                "{id} report differs between snapshot modes ({plan_text}, {threads} threads)"
             );
             assert_eq!(
                 warm.1, cold.1,
-                "health sketches differ between snapshot modes ({plan_text}, {threads} threads)"
+                "{id} health sketches differ between snapshot modes ({plan_text}, {threads} threads)"
             );
             // And across thread counts, in both modes.
             let reference = reference.get_or_insert(cold.clone());
             assert_eq!(
                 &warm, reference,
-                "outputs differ across thread counts ({plan_text}, {threads} threads)"
+                "{id} outputs differ across thread counts ({plan_text}, {threads} threads)"
             );
         }
     }
+}
+
+/// The tentpole contract on the real lifecycle sweep: EXP-16 through the
+/// snapshot store is byte-identical to EXP-16 aging every trial from
+/// scratch — report and health sketches both.
+#[test]
+fn exp16_snapshotted_matches_cold_at_every_thread_count_and_plan() {
+    let _guard = lock();
+    let _cleanup = Cleanup;
+    assert_snapshot_modes_and_thread_counts_agree("exp16");
+}
+
+/// The serve fleet ages through `age_fleet_snapshotted`, which replays
+/// and records on the workers. Each ten-year EXP-18 sweep point after
+/// the first replays what the first recorded, so this covers the
+/// parallel replay path.
+#[test]
+fn exp18_snapshotted_matches_cold_at_every_thread_count_and_plan() {
+    let _guard = lock();
+    let _cleanup = Cleanup;
+    assert_snapshot_modes_and_thread_counts_agree("exp18");
 }
 
 /// EXP-8 and EXP-15 share the snapshot store (and the chip/golden
